@@ -49,10 +49,25 @@ Image read_pnm(const std::string& path) {
   const std::int64_t c = magic == "P5" ? 1 : 3;
   std::int64_t w = 0, h = 0, maxval = 0;
   f >> w >> h >> maxval;
-  APF_CHECK(w > 0 && h > 0 && maxval == 255, "read_pnm: bad header");
+  APF_CHECK(f.good() && maxval == 255, "read_pnm: bad header in " << path);
+  // Bound each side before multiplying (so w*h*c cannot overflow), then
+  // check the pixel bytes are really in the file before allocating them.
+  APF_CHECK(w > 0 && h > 0 && w <= kMaxPnmSide && h <= kMaxPnmSide,
+            "read_pnm: " << w << "x" << h << " is outside [1, " << kMaxPnmSide
+                         << "] per side in " << path);
   f.get();  // single whitespace after header
+  const std::int64_t bytes = w * h * c;
+  const std::streampos data_start = f.tellg();
+  f.seekg(0, std::ios::end);
+  const std::int64_t available = f.tellg() - data_start;
+  APF_CHECK(available >= bytes, "read_pnm: truncated file "
+                                    << path << " (" << w << "x" << h << "x"
+                                    << c << " needs " << bytes
+                                    << " pixel bytes, has " << available
+                                    << ")");
+  f.seekg(data_start);
   Image im(h, w, c);
-  std::vector<std::uint8_t> buf(static_cast<std::size_t>(w * h * c));
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(bytes));
   f.read(reinterpret_cast<char*>(buf.data()),
          static_cast<std::streamsize>(buf.size()));
   APF_CHECK(f.gcount() == static_cast<std::streamsize>(buf.size()),

@@ -1,6 +1,8 @@
 #include "nn/conv.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "nn/init.h"
 #include "tensor/arena.h"
@@ -22,6 +24,11 @@ Tensor item(const Tensor& x, std::int64_t b) {
 
 }  // namespace
 
+std::int64_t Conv2d::band_rows(std::int64_t ckk, std::int64_t ow) {
+  // Column bytes of one output row; at least one row per band.
+  return std::max<std::int64_t>(1, kBandBytes / (ckk * ow * 4));
+}
+
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel, std::int64_t stride, std::int64_t pad,
                Rng& rng, bool bias)
@@ -42,55 +49,55 @@ Var Conv2d::forward(const Var& x) const {
   const std::int64_t ow = (w + 2 * pad_ - k_) / stride_ + 1;
   APF_CHECK(oh > 0 && ow > 0, "Conv2d: output collapsed for input " << xv.str());
 
-  // One flat [B, C*K*K, OH*OW] column buffer (a single — arena-friendly —
-  // allocation): the fill parallelizes over (item, channel) row bands and
-  // the per-item gemms write straight into y, so the hot loop allocates
-  // nothing and copies nothing. Identical arithmetic to the former
-  // per-item im2col + matmul + copy composition.
+  // One task per (item, output-row band). A task fills a small per-thread
+  // column block for its band, multiplies it straight into y's columns
+  // [r0*OW, r1*OW) (ldc = OH*OW) and adds the bias while the band is still
+  // in cache. Each output element keeps its accumulation order over K, so
+  // the values equal one whole-image gemm (gemm.h row stability); the band
+  // height depends on the geometry only, never on the thread count.
   const std::int64_t ckk = in_c_ * k_ * k_;
+  const std::int64_t plane = oh * ow;
+  const std::int64_t rows = band_rows(ckk, ow);
+  const std::int64_t nbands = (oh + rows - 1) / rows;
+  // 1x1 conv: im2col is the identity ([C, H*W] columns ARE the input
+  // plane), so gemm reads the band straight from x.
+  const bool identity = k_ == 1 && stride_ == 1 && pad_ == 0;
   Tensor y = Tensor::empty({b, out_c_, oh, ow});
-  if (k_ == 1 && stride_ == 1 && pad_ == 0) {
-    // 1x1 conv: im2col is the identity ([C, H*W] columns ARE the input
-    // plane), so gemm reads x directly. Identical arithmetic, zero copies.
-    const float* px = xv.data();
-    const float* pw = weight_.val().data();
-    float* py = y.data();
-    parallel_for(b, [&](std::int64_t i) {
-      gemm(false, false, out_c_, oh * ow, ckk, 1.f, pw, ckk,
-           px + i * in_c_ * h * w, oh * ow, 0.f, py + i * out_c_ * oh * ow,
-           oh * ow);
-    }, /*grain=*/1);
-  } else {
-    // y is allocated BEFORE this inner scope, so on the grad-free serving
-    // path the (large) column buffer is reclaimed the moment the conv
-    // returns instead of accumulating across the whole model forward.
-    ArenaScope cols_scope;
-    Tensor cols = Tensor::empty({b, ckk, oh * ow});
-    const float* px = xv.data();
-    float* pc = cols.data();
-    parallel_for(b * in_c_, [&](std::int64_t task) {
-      const std::int64_t i = task / in_c_, ch = task % in_c_;
-      ops::im2col_into(px + i * in_c_ * h * w, in_c_, h, w, k_, k_, stride_,
-                       pad_, pc + i * ckk * oh * ow, ch * k_ * k_,
-                       (ch + 1) * k_ * k_);
-    }, /*grain=*/1);
-    const float* pw = weight_.val().data();
-    float* py = y.data();
-    parallel_for(b, [&](std::int64_t i) {
-      gemm(false, false, out_c_, oh * ow, ckk, 1.f, pw, ckk,
-           pc + i * ckk * oh * ow, oh * ow, 0.f, py + i * out_c_ * oh * ow,
-           oh * ow);
-    }, /*grain=*/1);
-  }
-  if (bias_.defined()) {
-    float* py = y.data();
-    const float* pb = bias_.val().data();
-    parallel_for(b * out_c_, [&](std::int64_t i) {
-      const float bv = pb[i % out_c_];
-      float* row = py + i * oh * ow;
-      for (std::int64_t j = 0; j < oh * ow; ++j) row[j] += bv;
-    });
-  }
+  const float* px = xv.data();
+  const float* pw = weight_.val().data();
+  const float* pb = bias_.defined() ? bias_.val().data() : nullptr;
+  float* py = y.data();
+  parallel_for(b * nbands, [&](std::int64_t task) {
+    const std::int64_t i = task / nbands;
+    const std::int64_t r0 = (task % nbands) * rows;
+    const std::int64_t r1 = std::min(oh, r0 + rows);
+    const std::int64_t n = (r1 - r0) * ow;
+    const float* xi = px + i * in_c_ * h * w;
+    const float* cols = xi + r0 * ow;
+    std::int64_t ldb = h * w;
+    if (!identity) {
+      // Safe as thread_local: every gemm below has m <= kGemmRowPanel, so
+      // it runs inline and no scheduler wait (which could start another
+      // band on this thread) happens while the block holds live data.
+      thread_local std::vector<float> block;
+      block.resize(static_cast<std::size_t>(ckk * rows * ow));
+      ops::im2col_into(xi, in_c_, h, w, k_, k_, stride_, pad_, block.data(),
+                       n, r0, r1);
+      cols = block.data();
+      ldb = n;
+    }
+    float* yi = py + i * out_c_ * plane + r0 * ow;
+    for (std::int64_t m0 = 0; m0 < out_c_; m0 += kGemmRowPanel) {
+      gemm(false, false, std::min(kGemmRowPanel, out_c_ - m0), n, ckk, 1.f,
+           pw + m0 * ckk, ckk, cols, ldb, 0.f, yi + m0 * plane, plane);
+    }
+    if (pb != nullptr) {
+      for (std::int64_t co = 0; co < out_c_; ++co) {
+        float* row = yi + co * plane;
+        for (std::int64_t j = 0; j < n; ++j) row[j] += pb[co];
+      }
+    }
+  }, /*grain=*/1);
 
   auto xn = x.node();
   auto wn = weight_.node();

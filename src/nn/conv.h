@@ -2,6 +2,15 @@
 // Convolutional layers (NCHW): Conv2d, ConvTranspose2d, MaxPool2d,
 // BatchNorm2d. Implemented as im2col + GEMM with fused autograd closures;
 // im2col is recomputed in backward instead of cached to bound memory.
+//
+// Conv2d's forward is tiled by output-row band: one task per (item, band)
+// fills a per-thread column block of at most kBandBytes, multiplies it
+// straight into the band's columns of y and adds the bias while the band
+// is still in cache. No whole-batch column buffer and no separate bias
+// pass exist; the values equal the whole-image im2col + gemm + bias
+// composition bit for bit (pinned by test_nn), because every output
+// element keeps its accumulation order over K. The backward and
+// ConvTranspose2d still work on whole-item column matrices.
 
 #include <cstdint>
 
@@ -19,6 +28,17 @@ class Conv2d : public Module {
 
   /// x: [B, C_in, H, W] -> [B, C_out, OH, OW].
   Var forward(const Var& x) const;
+
+  /// Output rows per forward band for a column matrix of ckk rows and
+  /// output width ow: as many as fit a column block of kBandBytes, at
+  /// least one. A function of the geometry alone, so the banding (and
+  /// every value) is the same at any thread count and on any backend.
+  static std::int64_t band_rows(std::int64_t ckk, std::int64_t ow);
+  /// An eighth of a 2 MiB per-core L2, leaving room for the band's output
+  /// rows, the weights and the input rows it reads. On the serve-mixed
+  /// benchmark 128 KiB to 1 MiB measure alike; 32 KiB (per-task overhead)
+  /// and 2 MiB (the block spills) are slower.
+  static constexpr std::int64_t kBandBytes = std::int64_t{256} << 10;
 
  private:
   std::int64_t in_c_, out_c_, k_, stride_, pad_;

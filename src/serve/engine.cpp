@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 
 #include "tensor/arena.h"
@@ -80,6 +82,28 @@ void InferenceEngine::validate_image(const img::Image& image,
                                 << image.w << "x" << image.c
                                 << " but the model was built for " << expected
                                 << "x" << expected);
+  // A NaN compares false against every split threshold, so one NaN pixel
+  // would collapse the quadtree to a single token and carry the NaN into
+  // the model without any error. Inf and NaN are the floats whose exponent
+  // bits are all ones; this integer OR-reduction vectorizes, and the slow
+  // search for the index runs only on failure.
+  std::uint32_t nonfinite = 0;
+  for (const float v : image.data) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    nonfinite |= static_cast<std::uint32_t>((bits & 0x7f800000u) == 0x7f800000u);
+  }
+  if (nonfinite != 0) {
+    const auto bad = std::find_if_not(image.data.begin(), image.data.end(),
+                                      [](float v) { return std::isfinite(v); });
+    const std::int64_t at = bad - image.data.begin();
+    APF_CHECK(false, "InferenceEngine: "
+                         << where() << " has non-finite pixel " << *bad
+                         << " at index " << at << " (row "
+                         << at / image.c / image.w << ", col "
+                         << at / image.c % image.w << ", channel "
+                         << at % image.c << ")");
+  }
   // The model's token dimension pins the channel count when it divides
   // cleanly by the patch area (token_dim = C * Pm * Pm).
   const std::int64_t token_dim = model_.encoder_spec().token_dim;

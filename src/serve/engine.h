@@ -168,7 +168,8 @@ class InferenceEngine {
   /// budget are dropped down to it, shorter ones keep their natural
   /// length, so a scheduler can bucket by true length and pad only to the
   /// bucket. Throws detail::CheckError when the image does not match the
-  /// model's expected square geometry (validate_image).
+  /// model's expected square geometry or has a non-finite pixel
+  /// (validate_image).
   core::PatchSequence patch(const img::Image& image) const;
 
   /// As patch(), but cache-aware plumbing for serve::Server: reuses a
@@ -212,7 +213,8 @@ class InferenceEngine {
   img::Image predict_mask(const img::Image& image);
 
   /// Throws detail::CheckError naming index and shape when the image is
-  /// not square, does not match the model's expected_image_size(), or its
+  /// not square, does not match the model's expected_image_size(), holds
+  /// a NaN or Inf pixel (the message names the pixel's index), or its
   /// channel count disagrees with the model's token dimension. index < 0
   /// omits the index from the message (single-image call sites).
   void validate_image(const img::Image& image, std::int64_t index = -1) const;

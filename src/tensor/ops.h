@@ -108,17 +108,17 @@ void layernorm_row(const float* x, const float* gamma, const float* beta,
 /// kernel/stride/padding (zero padding).
 Tensor im2col(const Tensor& x, std::int64_t kh, std::int64_t kw,
               std::int64_t stride, std::int64_t pad);
-/// Raw-pointer im2col for rows [row0, row1) of the column matrix (a row is
-/// one (channel, ki, kj) triple; pass 0 / c*kh*kw for all). Writes into
-/// out, an [C*kh*kw, out_h*out_w] buffer laid out like im2col's result —
-/// which it produces bitwise (the stride-1 interior fast path is a pure
-/// reordering of the same copies). Lets the conv layers fill a
-/// preallocated buffer (no per-item tensor) and parallelize across items
-/// or channels without nested allocation.
+/// Raw-pointer im2col for the output-row band [oi0, oi1): writes every row
+/// of the column matrix (one per (channel, ki, kj) triple), restricted to
+/// its columns [oi0*out_w, oi1*out_w), into out with row stride ldo
+/// (>= (oi1 - oi0) * out_w). The band [0, out_h) with ldo = out_h*out_w is
+/// im2col's result, bitwise. Lets the conv layer fill a small
+/// cache-resident column block per (item, band) task and feed it straight
+/// to gemm; the stride-1 interior is one memcpy per source row.
 void im2col_into(const float* x, std::int64_t c, std::int64_t h,
                  std::int64_t w, std::int64_t kh, std::int64_t kw,
                  std::int64_t stride, std::int64_t pad, float* out,
-                 std::int64_t row0, std::int64_t row1);
+                 std::int64_t ldo, std::int64_t oi0, std::int64_t oi1);
 /// col2im: reverse scatter-add of im2col, producing [C, H, W].
 Tensor col2im(const Tensor& cols, std::int64_t c, std::int64_t h,
               std::int64_t w, std::int64_t kh, std::int64_t kw,

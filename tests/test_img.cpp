@@ -219,6 +219,29 @@ TEST(PnmIo, PpmRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(PnmIo, OversizedOrTruncatedHeaderThrowsBeforeAllocating) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "apf_test_bad.pgm").string();
+  const auto write_raw = [&](const std::string& bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  };
+  // w*h (1.6e19) overflows int64: rejected on the side bound before any
+  // multiplication or allocation.
+  write_raw("P5 4000000000 4000000000 255\n" + std::string(16, '\0'));
+  EXPECT_THROW(read_pnm(path), detail::CheckError);
+  // In range per side, but the file holds 16 of 3.6e9 pixel bytes.
+  write_raw("P5 60000 60000 255\n" + std::string(16, '\0'));
+  EXPECT_THROW(read_pnm(path), detail::CheckError);
+  write_raw("P5 -4 4 255\n" + std::string(16, '\0'));
+  EXPECT_THROW(read_pnm(path), detail::CheckError);
+  write_raw("P5 4 4 255\n" + std::string(16, '\0'));
+  EXPECT_EQ(read_pnm(path).numel(), 16);
+  std::remove(path.c_str());
+}
+
 TEST(PnmIo, WrongChannelCountThrows) {
   Image rgb(2, 2, 3);
   EXPECT_THROW(write_pgm("/tmp/x.pgm", rgb), detail::CheckError);

@@ -11,6 +11,8 @@
 #include "nn/conv.h"
 #include "nn/layers.h"
 #include "nn/optim.h"
+#include "core/thread_pool.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace apf::nn {
@@ -204,6 +206,83 @@ TEST(Conv2d, GradCheck) {
         return ag::mean(ag::mul(y, y));
       },
       params);
+}
+
+// Whole-buffer reference: per item one full-output im2col, one gemm over
+// all OH*OW columns, then the bias as a separate pass.
+Tensor conv_whole_buffer(const Tensor& x, const Tensor& w, const Tensor& bias,
+                         std::int64_t k, std::int64_t stride,
+                         std::int64_t pad) {
+  const std::int64_t b = x.size(0), c = x.size(1), h = x.size(2),
+                     wd = x.size(3), out_c = w.size(0), ckk = w.size(1);
+  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const std::int64_t ow = (wd + 2 * pad - k) / stride + 1;
+  Tensor y({b, out_c, oh, ow});
+  for (std::int64_t i = 0; i < b; ++i) {
+    Tensor xi({c, h, wd});
+    std::copy(x.data() + i * c * h * wd, x.data() + (i + 1) * c * h * wd,
+              xi.data());
+    const Tensor cols = ops::im2col(xi, k, k, stride, pad);
+    float* yi = y.data() + i * out_c * oh * ow;
+    gemm(false, false, out_c, oh * ow, ckk, 1.f, w.data(), ckk, cols.data(),
+         oh * ow, 0.f, yi, oh * ow);
+    for (std::int64_t co = 0; co < out_c; ++co)
+      for (std::int64_t j = 0; j < oh * ow; ++j) yi[co * oh * ow + j] += bias[co];
+  }
+  return y;
+}
+
+TEST(Conv2d, BandedForwardEqualsWholeBufferBitwise) {
+  struct Geometry {
+    std::int64_t in_c, out_c, k, stride, pad, batch, width;
+    bool band_divides_oh;
+  };
+  const Geometry geometries[] = {
+      {4, 80, 3, 1, 1, 3, 40, false},  // two row panels, B = 3
+      {4, 80, 3, 1, 1, 3, 40, true},
+      {3, 8, 3, 2, 1, 2, 64, false},   // stride 2, pad 1
+      {16, 8, 1, 1, 0, 2, 64, false},  // 1x1: gemm reads x in place
+      {6, 8, 1, 2, 0, 1, 50, false},   // strided 1x1 goes through im2col
+      {5, 70, 3, 1, 0, 3, 33, false},  // no padding
+  };
+  Rng rng(23);
+  for (const Geometry& g : geometries) {
+    const std::int64_t ow = (g.width + 2 * g.pad - g.k) / g.stride + 1;
+    const std::int64_t rows = Conv2d::band_rows(g.in_c * g.k * g.k, ow);
+    ASSERT_GT(rows, 1);
+    // Three bands, the last one short unless the band divides OH.
+    const std::int64_t oh = g.band_divides_oh ? 3 * rows : 2 * rows + rows / 2;
+    const std::int64_t h = (oh - 1) * g.stride + g.k - 2 * g.pad;
+    ASSERT_GE((oh + rows - 1) / rows, 3);
+    ASSERT_EQ(oh % rows == 0, g.band_divides_oh);
+
+    Conv2d conv(g.in_c, g.out_c, g.k, g.stride, g.pad, rng);
+    Var weight = conv.parameters()[0];
+    Var bias = conv.parameters()[1];
+    bias.val_mut().copy_from(Tensor::randn({g.out_c}, rng));
+    const Tensor x = Tensor::randn({g.batch, g.in_c, h, g.width}, rng);
+    const Tensor want =
+        conv_whole_buffer(x, weight.val(), bias.val(), g.k, g.stride, g.pad);
+
+    for (const int width : {1, 4}) {
+      set_num_threads(width);
+      for (const bool taped : {false, true}) {
+        Tensor got;
+        if (taped) {
+          got = conv.forward(Var::param(x.clone())).val();
+        } else {
+          ag::NoGradGuard no_grad;
+          got = conv.forward(Var::constant(x.clone())).val();
+        }
+        ASSERT_EQ(got.shape(), want.shape());
+        for (std::int64_t j = 0; j < want.numel(); ++j)
+          ASSERT_EQ(got[j], want[j])
+              << "k " << g.k << " stride " << g.stride << " out_c " << g.out_c
+              << " width " << width << " taped " << taped << " at " << j;
+      }
+    }
+    set_num_threads(0);
+  }
 }
 
 TEST(ConvTranspose2d, UpsamplesShape) {

@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -358,6 +360,25 @@ TEST(StagedEngine, ValidatesImageGeometryWithIndexAndShape) {
   }
 }
 
+TEST(StagedEngine, RejectsNonFinitePixelWithItsIndex) {
+  Rig rig;
+  serve::InferenceEngine engine(rig.model, rig.engine_config());
+  img::Image image = rig.images(1)[0];
+  image.at(5, 7, 2) = std::nanf("");
+  try {
+    engine.patch(image);
+    FAIL() << "expected CheckError for the NaN pixel";
+  } catch (const detail::CheckError& e) {
+    const std::string msg = e.what();
+    const std::int64_t index = (5 * Rig::kZ + 7) * 3 + 2;
+    EXPECT_NE(msg.find("at index " + std::to_string(index)), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("row 5, col 7, channel 2"), std::string::npos) << msg;
+  }
+  image.at(5, 7, 2) = std::numeric_limits<float>::infinity();
+  EXPECT_THROW(engine.patch(image), detail::CheckError);
+}
+
 // --------------------------------------------------------------- server
 
 TEST(Server, SubmitDeliversSerialResultsAndStats) {
@@ -463,6 +484,95 @@ TEST(Server, RejectsBadGeometryAtSubmitTime) {
   server.shutdown();
   EXPECT_EQ(server.stats().images, before)
       << "a rejected submit_many must not enqueue a partial batch";
+}
+
+TEST(Server, RejectsNonFinitePixelAtSubmitTime) {
+  Rig rig;
+  serve::ServerConfig scfg;
+  scfg.engine = rig.engine_config();
+  scfg.num_workers = 1;
+  img::Image image = rig.images(1)[0];
+  image.at(0, 3, 1) = std::nanf("");
+  for (const std::int64_t cache_bytes : {std::int64_t{0}, std::int64_t{1} << 20}) {
+    scfg.cache.capacity_bytes = cache_bytes;  // both submit() paths
+    serve::Server server(rig.model, scfg);
+    EXPECT_THROW(server.submit(image), detail::CheckError)
+        << "cache bytes " << cache_bytes;
+    server.shutdown();
+    EXPECT_EQ(server.stats().images, 0);
+  }
+}
+
+// Wraps the rig's model and throws from forward() on any batch holding a
+// marked image (pixels far above the [0, 1] the synthetic tiles use), so
+// the server's failed-batch path runs on a real worker.
+class ThrowOnMarkedModel : public models::TokenSegModel {
+ public:
+  static constexpr float kMark = 10.f;
+
+  explicit ThrowOnMarkedModel(models::Unetr2d& inner) : inner_(inner) {
+    add_child("inner", inner_);
+  }
+
+  Var forward(const core::TokenBatch& batch, Rng& rng) const override {
+    const Tensor& t = batch.tokens;
+    if (std::any_of(t.data(), t.data() + t.numel(),
+                    [](float v) { return v > kMark / 2; })) {
+      failed_items_ += batch.batch();
+      throw std::runtime_error("marked batch");
+    }
+    return inner_.forward(batch, rng);
+  }
+  dist::VitSpec encoder_spec() const override { return inner_.encoder_spec(); }
+  std::int64_t expected_image_size() const override {
+    return inner_.expected_image_size();
+  }
+  std::int64_t failed_items() const { return failed_items_; }
+
+ private:
+  models::Unetr2d& inner_;
+  mutable std::atomic<std::int64_t> failed_items_{0};
+};
+
+TEST(Server, ThrowingForwardFailsOnlyItsOwnBatch) {
+  Rig rig;
+  ThrowOnMarkedModel model(rig.model);
+  serve::ServerConfig scfg;
+  scfg.engine = rig.engine_config();
+  scfg.num_workers = 1;  // every batch, failed or not, runs on one worker
+  scfg.bucket_granularity = 1024;  // any lengths may share a batch
+  std::vector<img::Image> images = rig.images(6);
+  img::Image marked = images[2];
+  marked.fill(ThrowOnMarkedModel::kMark);
+  images[2] = marked;
+
+  serve::InferenceEngine serial(rig.model, rig.engine_config());
+  serve::Server server(model, scfg);
+  std::vector<std::future<serve::InferenceResult>> futures =
+      server.submit_many(images);
+  std::int64_t failed = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    try {
+      serve::InferenceResult got = futures[i].get();
+      ASSERT_NE(i, 2u) << "the marked request must fail";
+      const Tensor want = serial.run({images[i]}).logits;
+      for (std::int64_t j = 0; j < want.numel(); ++j)
+        ASSERT_EQ(got.logits[j], want[j]) << "image " << i;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "marked batch") << "image " << i;
+      ++failed;
+    }
+  }
+  // Exactly the requests that shared the marked forward failed.
+  EXPECT_GE(failed, 1);
+  EXPECT_EQ(failed, model.failed_items());
+
+  // The worker survived: later requests, marked ones included, still run.
+  for (const img::Image& im : rig.images(3))
+    EXPECT_EQ(server.submit(im).get().masks.size(), 1u);
+  EXPECT_THROW(server.submit(marked).get(), std::runtime_error);
+  EXPECT_EQ(server.submit(rig.images(1)[0]).get().stats.images, 1);
+  server.shutdown();
 }
 
 TEST(Server, ConfigValidation) {
