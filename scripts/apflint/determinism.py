@@ -8,9 +8,11 @@ the mechanically checkable parts fail the build instead:
 Flag rules (need compile_commands.json, produced by
 CMAKE_EXPORT_COMPILE_COMMANDS):
 
-  fp-contract   every gemm kernel TU (src/tensor/gemm*.cpp) must be built
+  fp-contract   every gemm kernel TU (src/tensor/gemm*.cpp) and the
+                softmax kernel TU (src/tensor/softmax.cpp) must be built
                 with -ffp-contract=off — an FMA contracted into a kernel
-                changes the rounding of every accumulation.
+                changes the rounding of every accumulation (and of every
+                lane of the softmax's exp polynomial).
   fast-math     no TU anywhere may carry -ffast-math or any of its
                 value-changing constituents (-Ofast, -funsafe-math-
                 optimizations, -fassociative-math, -freciprocal-math,
@@ -88,9 +90,10 @@ def registry_gated_tus(root):
     return frozenset("src/tensor/gemm_%s.cpp" % n for n in names)
 
 # Every TU matching this prefix/suffix is a gemm kernel TU and must pin
-# -ffp-contract=off.
+# -ffp-contract=off, as must the other kernel TUs listed below.
 GEMM_TU_PREFIX = "src/tensor/gemm"
 GEMM_TU_SUFFIX = ".cpp"
+FP_CONTRACT_TUS = frozenset({"src/tensor/softmax.cpp"})
 
 FAST_MATH_FLAGS = (
     "-ffast-math",
@@ -185,12 +188,14 @@ def check_compile_commands(entries, root):
         # Remaining flag rules only constrain the library's own TUs.
         if not rel.startswith("src/"):
             continue
-        if rel.startswith(GEMM_TU_PREFIX) and rel.endswith(GEMM_TU_SUFFIX):
-            if "-ffp-contract=off" not in args:
-                violations.append(base.Violation(
-                    rel, 0, "fp-contract",
-                    "gemm kernel TU built without -ffp-contract=off "
-                    "(contracted FMAs change accumulation rounding)"))
+        is_gemm = (rel.startswith(GEMM_TU_PREFIX)
+                   and rel.endswith(GEMM_TU_SUFFIX))
+        if (is_gemm or rel in FP_CONTRACT_TUS) and \
+                "-ffp-contract=off" not in args:
+            violations.append(base.Violation(
+                rel, 0, "fp-contract",
+                "kernel TU built without -ffp-contract=off "
+                "(contracted FMAs change accumulation rounding)"))
         isa = [a for a in args if ISA_FLAG_RE.match(a)]
         if isa and rel not in gated:
             violations.append(base.Violation(

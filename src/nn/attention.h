@@ -18,11 +18,12 @@ namespace apf::nn {
 /// scratch, so no [B*H, L, L] score/probability tensors are ever
 /// materialized. q, k, v are [B*H, L, Dh]; key_mask (optional) is [B, L]
 /// with 1 = valid key; batch is B (so heads = q.size(0) / batch). Rows
-/// whose keys are all masked produce zero context, matching
+/// whose keys are all masked produce zero context, as in
 /// ops::softmax_lastdim. Bitwise identical to the composed
 /// bmm/scale/softmax/bmm pipeline for every query row up to each item's
 /// last valid key: the row-block size matches the gemm panel size and the
-/// softmax replicates ops::softmax_lastdim's accumulation order exactly.
+/// softmax is the same kernel, ops::softmax_row, that ops::softmax_lastdim
+/// calls.
 /// Work on padding is pruned — keys past the last valid one are never
 /// touched, and (for self-attention, l == n) padded query rows are defined
 /// to be zero where the taped path leaves them unspecified; model outputs

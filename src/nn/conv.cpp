@@ -178,25 +178,23 @@ Var ConvTranspose2d::forward(const Var& x) const {
     const float* px = xv.data();
     const float* pw = weight_.val().data();
     float* pc = cols.data();
+    const float* pb = bias_.defined() ? bias_.val().data() : nullptr;
     float* py = y.data();
     parallel_for(b, [&](std::int64_t i) {
       gemm(true, false, okk, h * w, in_c_, 1.f, pw, okk, px + i * in_c_ * h * w,
            h * w, 0.f, pc + i * okk * h * w, h * w);
     }, /*grain=*/1);
+    // One task per (item, channel): scatter-add the channel's plane, then
+    // add its bias while the plane is still in cache.
     parallel_for(b * out_c_, [&](std::int64_t task) {
       const std::int64_t i = task / out_c_, ch = task % out_c_;
       ops::col2im_into(pc + i * okk * h * w, out_c_, oh, ow, k_, k_, stride_,
                        0, py + i * out_c_ * oh * ow, ch, ch + 1);
+      if (pb == nullptr) return;
+      const float bv = pb[ch];
+      float* plane = py + task * oh * ow;
+      for (std::int64_t j = 0; j < oh * ow; ++j) plane[j] += bv;
     }, /*grain=*/1);
-  }
-  if (bias_.defined()) {
-    float* py = y.data();
-    const float* pb = bias_.val().data();
-    parallel_for(b * out_c_, [&](std::int64_t i) {
-      const float bv = pb[i % out_c_];
-      float* row = py + i * oh * ow;
-      for (std::int64_t j = 0; j < oh * ow; ++j) row[j] += bv;
-    });
   }
 
   auto xn = x.node();

@@ -120,13 +120,13 @@ void InferenceEngine::validate_image(const img::Image& image,
 }
 
 core::PatchSequence InferenceEngine::patch(const img::Image& image) const {
+  validate_image(image);
   return patch(image, /*image_key=*/nullptr, /*cache_hit=*/nullptr);
 }
 
 core::PatchSequence InferenceEngine::patch(const img::Image& image,
                                            const core::Digest128* image_key,
                                            bool* cache_hit) const {
-  validate_image(image);
   if (cache_hit) *cache_hit = false;
   if (cache_ && cache_->patch_tier_enabled()) {
     const core::Digest128 ikey =

@@ -172,10 +172,12 @@ class InferenceEngine {
   /// (validate_image).
   core::PatchSequence patch(const img::Image& image) const;
 
-  /// As patch(), but cache-aware plumbing for serve::Server: reuses a
-  /// precomputed image content key (nullptr = compute it here when
-  /// needed) and reports whether the patch tier hit. Identical to
-  /// patch(image) when no cache is attached.
+  /// As patch(), but for an image that has ALREADY passed
+  /// validate_image (run() and serve::Server validate once at their
+  /// boundary), so it does not validate again; plus cache-aware plumbing:
+  /// reuses a precomputed image content key (nullptr = compute it here
+  /// when needed) and reports whether the patch tier hit. Identical to
+  /// patch(image) on a valid image when no cache is attached.
   core::PatchSequence patch(const img::Image& image,
                             const core::Digest128* image_key,
                             bool* cache_hit) const;

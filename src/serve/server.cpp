@@ -92,13 +92,19 @@ void Server::shutdown() {
 }
 
 std::future<InferenceResult> Server::submit(const img::Image& image) {
-  // Stage 1 on the calling thread: patch() validates at the API boundary
-  // (failing fast with the offending shape), and patching in parallel
-  // across clients keeps the workers fed with bucketable sequences.
+  // Validate once at the API boundary, failing fast with the offending
+  // shape; everything after it works on a known-good image.
   const auto t0 = Clock::now();
+  patch_engine_->validate_image(image);
+  return submit_validated(image, t0);
+}
+
+std::future<InferenceResult> Server::submit_validated(
+    const img::Image& image, Clock::time_point t0) {
+  // Stage 1 on the calling thread: patching in parallel across clients
+  // keeps the workers fed with bucketable sequences.
   std::optional<core::Digest128> image_key;
   if (cache_) {
-    patch_engine_->validate_image(image);
     image_key = patch_engine_->cache_image_key(image);
     if (std::optional<CachedResult> hit =
             patch_engine_->cached_result(*image_key)) {
@@ -153,7 +159,8 @@ std::vector<std::future<InferenceResult>> Server::submit_many(
     patch_engine_->validate_image(images[i], static_cast<std::int64_t>(i));
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(images.size());
-  for (const img::Image& im : images) futures.push_back(submit(im));
+  for (const img::Image& im : images)
+    futures.push_back(submit_validated(im, Clock::now()));
   return futures;
 }
 

@@ -141,6 +141,11 @@ class Server {
   const ServerConfig& config() const { return cfg_; }
 
  private:
+  /// submit() after validation: the image has passed validate_image, so
+  /// it is patched without validating again. t0 starts the request's
+  /// patch_seconds.
+  std::future<InferenceResult> submit_validated(
+      const img::Image& image, std::chrono::steady_clock::time_point t0);
   void worker_main(std::size_t worker_index);
   void process_batch(InferenceEngine& engine, std::vector<Request>&& batch);
   /// Lifetime aggregate incl. scheduler deltas and cache totals (the

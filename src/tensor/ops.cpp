@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "tensor/gemm.h"
 #include "core/parallel_for.h"
@@ -334,80 +333,6 @@ std::vector<std::int64_t> argmax_lastdim(const Tensor& x) {
     out[static_cast<std::size_t>(r)] = best;
   });
   return out;
-}
-
-Tensor softmax_lastdim(const Tensor& x, const Tensor* key_mask) {
-  APF_CHECK(x.ndim() >= 1, "softmax: scalar input");
-  const std::int64_t n = x.size(-1);
-  const std::int64_t rows = x.numel() / n;
-  std::int64_t rows_per_b = 1;
-  const float* pm = nullptr;
-  if (key_mask != nullptr) {
-    APF_CHECK(key_mask->ndim() == 2 && key_mask->size(1) == n,
-              "softmax: key_mask " << key_mask->str() << " vs lastdim " << n);
-    const std::int64_t b = key_mask->size(0);
-    APF_CHECK(rows % b == 0, "softmax: rows " << rows
-                                              << " not divisible by batch " << b);
-    rows_per_b = rows / b;
-    pm = key_mask->data();
-  }
-  Tensor out = Tensor::empty(x.shape());
-  const float* px = x.data();
-  float* po = out.data();
-  parallel_for(rows, [&](std::int64_t r) {
-    const float* xr = px + r * n;
-    float* orow = po + r * n;
-    const float* mrow = pm ? pm + (r / rows_per_b) * n : nullptr;
-    float mx = -std::numeric_limits<float>::infinity();
-    for (std::int64_t j = 0; j < n; ++j) {
-      if (mrow && mrow[j] == 0.f) continue;
-      mx = std::max(mx, xr[j]);
-    }
-    if (mx == -std::numeric_limits<float>::infinity()) {
-      // Fully masked row: all-zero output (no probability mass).
-      std::fill(orow, orow + n, 0.f);
-      return;
-    }
-    double denom = 0.0;
-    for (std::int64_t j = 0; j < n; ++j) {
-      if (mrow && mrow[j] == 0.f) {
-        orow[j] = 0.f;
-      } else {
-        orow[j] = std::exp(xr[j] - mx);
-        denom += orow[j];
-      }
-    }
-    if (denom == 0.0) {
-      // Defensive: no surviving probability mass (e.g. every unmasked
-      // entry is -inf). Emit zeros instead of dividing by zero — NaN here
-      // would poison the whole sequence through the attention matmul.
-      std::fill(orow, orow + n, 0.f);
-      return;
-    }
-    const float inv = static_cast<float>(1.0 / denom);
-    for (std::int64_t j = 0; j < n; ++j) orow[j] *= inv;
-  });
-  return out;
-}
-
-Tensor softmax_lastdim_grad(const Tensor& y, const Tensor& dy) {
-  APF_CHECK(y.same_shape(dy), "softmax_grad: shape mismatch");
-  const std::int64_t n = y.size(-1);
-  const std::int64_t rows = y.numel() / n;
-  Tensor dx(y.shape());
-  const float* py = y.data();
-  const float* pdy = dy.data();
-  float* pdx = dx.data();
-  parallel_for(rows, [&](std::int64_t r) {
-    const float* yr = py + r * n;
-    const float* dyr = pdy + r * n;
-    float* dxr = pdx + r * n;
-    double dot = 0.0;
-    for (std::int64_t j = 0; j < n; ++j) dot += static_cast<double>(yr[j]) * dyr[j];
-    const float d = static_cast<float>(dot);
-    for (std::int64_t j = 0; j < n; ++j) dxr[j] = yr[j] * (dyr[j] - d);
-  });
-  return dx;
 }
 
 void layernorm_row(const float* x, const float* gamma, const float* beta,

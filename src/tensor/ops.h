@@ -90,6 +90,23 @@ Tensor softmax_lastdim(const Tensor& x, const Tensor* key_mask = nullptr);
 /// Backward of softmax_lastdim: given y = softmax(x) and dL/dy, returns
 /// dL/dx = y * (dy - sum(dy * y)).
 Tensor softmax_lastdim_grad(const Tensor& y, const Tensor& dy);
+/// THE softmax row kernel, shared by softmax_lastdim (scale 1) and the
+/// grad-free nn::fused_masked_attention, which is what keeps the two paths
+/// bitwise equal: out[j] = exp(scale * x[j] - m) / sum over the n keys,
+/// with m the max over unmasked keys. mask_row (length n, 1 = valid) may be
+/// null; masked keys get exactly 0, and rows with no surviving mass are all
+/// zeros. x may alias out. The denominator is a double sum over fixed lane
+/// partials (column j feeds lane j % 8), so an element's bits depend on
+/// neither its column, the ISA, nor the thread count, and trailing masked
+/// keys never change the valid ones.
+void softmax_row(const float* x, float* out, std::int64_t n, float scale,
+                 const float* mask_row);
+/// The library's own exp, the one softmax_row applies, over n values meant
+/// to be <= 0: at most 1 ulp from libm expf on [-87.3365, 0], exp(0) == 1
+/// exactly, and exactly 0 below -87.3365 (ln of the smallest normal
+/// float), -inf included. NaN stays NaN. Each element's bits are
+/// independent of n and of its position.
+void exp_nonpositive(const float* x, float* out, std::int64_t n);
 
 // ---- LayerNorm row kernel ------------------------------------------------
 /// One LayerNorm row over d elements: y = (x - mean) / sqrt(var + eps) *

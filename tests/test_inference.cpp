@@ -21,6 +21,8 @@ namespace apf {
 namespace {
 
 // The taped pipeline's value computation, composed from forward kernels.
+// Both sides normalize with ops::softmax_row, so the bitwise pins below
+// check the row panels and that pruning masked key suffixes is neutral.
 Tensor ref_attention(const Tensor& q, const Tensor& k, const Tensor& v,
                      float scale, const Tensor* mask) {
   Tensor scores = ops::mul_scalar(ops::bmm(q, k, false, true), scale);

@@ -306,6 +306,53 @@ TEST(ConvTranspose2d, GradCheck) {
       params);
 }
 
+// Reference: per item, W^T @ x_i, col2im, then the bias as a separate pass.
+Tensor conv_transpose_reference(const Tensor& x, const Tensor& w,
+                                const Tensor& bias, std::int64_t out_c,
+                                std::int64_t k, std::int64_t stride) {
+  const std::int64_t b = x.size(0), c = x.size(1), h = x.size(2),
+                     wd = x.size(3), okk = w.size(1);
+  const std::int64_t oh = (h - 1) * stride + k, ow = (wd - 1) * stride + k;
+  Tensor y({b, out_c, oh, ow});
+  for (std::int64_t i = 0; i < b; ++i) {
+    Tensor cols({okk, h * wd});
+    gemm(true, false, okk, h * wd, c, 1.f, w.data(), okk,
+         x.data() + i * c * h * wd, h * wd, 0.f, cols.data(), h * wd);
+    const Tensor yi = ops::col2im(cols, out_c, oh, ow, k, k, stride, 0);
+    float* dst = y.data() + i * out_c * oh * ow;
+    std::copy(yi.data(), yi.data() + yi.numel(), dst);
+    for (std::int64_t co = 0; co < out_c; ++co)
+      for (std::int64_t j = 0; j < oh * ow; ++j) dst[co * oh * ow + j] += bias[co];
+  }
+  return y;
+}
+
+TEST(ConvTranspose2d, BiasInCol2imTaskEqualsSeparatePassBitwise) {
+  Rng rng(29);
+  const std::int64_t batch = 3, in_c = 5, k = 2, stride = 2, h = 6, w = 7;
+  for (const std::int64_t out_c : {3, 16}) {
+    ConvTranspose2d up(in_c, out_c, k, stride, rng);
+    Var bias = up.parameters()[1];
+    bias.val_mut().copy_from(Tensor::randn({out_c}, rng));
+    const Tensor x = Tensor::randn({batch, in_c, h, w}, rng);
+    const Tensor want = conv_transpose_reference(
+        x, up.parameters()[0].val(), bias.val(), out_c, k, stride);
+    for (const bool taped : {false, true}) {
+      Tensor got;
+      if (taped) {
+        got = up.forward(Var::param(x.clone())).val();
+      } else {
+        ag::NoGradGuard no_grad;
+        got = up.forward(Var::constant(x.clone())).val();
+      }
+      ASSERT_EQ(got.shape(), want.shape());
+      for (std::int64_t j = 0; j < want.numel(); ++j)
+        ASSERT_EQ(got[j], want[j])
+            << "out_c " << out_c << " taped " << taped << " at " << j;
+    }
+  }
+}
+
 TEST(ConvTranspose2d, AdjointOfConv) {
   // convT with the same kernel is the adjoint of conv (stride 2, no pad):
   // <conv(x), y> == <x, convT(y)>.

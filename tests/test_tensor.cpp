@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <vector>
 
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -335,6 +338,113 @@ TEST(Ops, SoftmaxMaskWithMultipleRowsPerBatch) {
   EXPECT_NEAR(y.at({0, 0}), 1.f, 1e-6);
   EXPECT_NEAR(y.at({1, 0}), 1.f, 1e-6);
   EXPECT_NEAR(y.at({2, 0}), 0.5f, 1e-6);
+}
+
+// ------------------------------------------- softmax row kernel and its exp
+
+float exp_one(float x) {
+  float y = 0.f;
+  ops::exp_nonpositive(&x, &y, 1);
+  return y;
+}
+
+TEST(SoftmaxRow, ExpWithinOneUlpOfLibmOnStridedSweep) {
+  // Every 61st float in [-87.3, 0], evaluated in chunks like a row.
+  const std::uint32_t first = std::bit_cast<std::uint32_t>(-0.f);
+  const std::uint32_t last = std::bit_cast<std::uint32_t>(-87.3f);
+  std::vector<float> x, y;
+  std::int64_t checked = 0;
+  for (std::uint64_t b = first; b <= last;) {
+    x.clear();
+    for (; b <= last && x.size() < 4096; b += 61)
+      x.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(b)));
+    y.resize(x.size());
+    ops::exp_nonpositive(x.data(), y.data(), static_cast<std::int64_t>(x.size()));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::int64_t want = std::bit_cast<std::uint32_t>(std::exp(x[i]));
+      const std::int64_t got = std::bit_cast<std::uint32_t>(y[i]);
+      ASSERT_LE(std::llabs(got - want), 1)
+          << "exp(" << x[i] << ") = " << y[i] << ", libm " << std::exp(x[i]);
+    }
+    checked += static_cast<std::int64_t>(x.size());
+  }
+  EXPECT_GT(checked, 18'000'000);
+}
+
+TEST(SoftmaxRow, ExpEdgesAreExact) {
+  EXPECT_EQ(exp_one(0.f), 1.f);
+  EXPECT_EQ(exp_one(-0.f), 1.f);
+  for (const float x : {-std::numeric_limits<float>::infinity(), -1e30f,
+                        -1000.f, -100.f, -87.34f}) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(exp_one(x)), 0u)
+        << "exp(" << x << ") must be exactly +0";
+  }
+  EXPECT_GT(exp_one(-87.3f), 0.f);
+}
+
+TEST(SoftmaxRow, MaskedAndMasslessRowsGiveExactZeros) {
+  const float ninf = -std::numeric_limits<float>::infinity();
+  const std::vector<float> x = {0.5f, -1.f, 2.f, 0.f, 7.f};
+  const std::vector<float> mask = {1.f, 0.f, 1.f, 1.f, 0.f};
+  std::vector<float> out(x.size());
+  ops::softmax_row(x.data(), out.data(), 5, 1.f, mask.data());
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(out[1]), 0u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(out[4]), 0u);
+  EXPECT_NEAR(out[0] + out[2] + out[3], 1.f, 1e-6f);
+
+  const std::vector<float> none(x.size(), 0.f);
+  ops::softmax_row(x.data(), out.data(), 5, 1.f, none.data());
+  for (const float v : out) EXPECT_EQ(std::bit_cast<std::uint32_t>(v), 0u);
+
+  const std::vector<float> all_ninf(x.size(), ninf);
+  ops::softmax_row(all_ninf.data(), out.data(), 5, 1.f, nullptr);
+  for (const float v : out) EXPECT_EQ(std::bit_cast<std::uint32_t>(v), 0u);
+
+  // In place, the way the fused attention kernel calls it.
+  std::vector<float> row = x;
+  ops::softmax_row(row.data(), row.data(), 5, 0.5f, mask.data());
+  std::vector<float> want(x.size());
+  ops::softmax_row(x.data(), want.data(), 5, 0.5f, mask.data());
+  for (std::size_t j = 0; j < x.size(); ++j) EXPECT_EQ(row[j], want[j]);
+}
+
+TEST(SoftmaxRow, SameBitsAtEveryColumn) {
+  // Widths covering the vector body, the scalar tail and both together.
+  std::vector<std::int64_t> widths;
+  for (std::int64_t n = 1; n <= 40; ++n) widths.push_back(n);
+  for (const std::int64_t n : {1023, 1024, 1025}) widths.push_back(n);
+  const float values[] = {-0.f, -1e-3f, -0.5f, -3.25f, -20.f, -87.f};
+  for (const std::int64_t n : widths) {
+    // exp: one value gives the same bits at every column.
+    std::vector<float> x(static_cast<std::size_t>(n)), y(x.size());
+    for (const float v : values) {
+      std::fill(x.begin(), x.end(), v);
+      ops::exp_nonpositive(x.data(), y.data(), n);
+      const float want = exp_one(v);
+      for (std::int64_t j = 0; j < n; ++j)
+        ASSERT_EQ(y[j], want) << "exp(" << v << ") n " << n << " col " << j;
+    }
+    // softmax: one peak logit moved across a constant row. The lane sums
+    // of these values are exact, so every placement sees one denominator
+    // and the peak (and the background) must keep their bits.
+    const float bg = -2.5f, peak = 1.75f, scale = 0.5f;
+    float want_peak = 0.f, want_bg = 0.f;
+    std::vector<std::int64_t> cols;  // every column, or every 37th + last
+    for (std::int64_t c = 0; c < n; c += n > 40 ? 37 : 1) cols.push_back(c);
+    if (cols.back() != n - 1) cols.push_back(n - 1);
+    for (const std::int64_t c : cols) {
+      std::fill(x.begin(), x.end(), bg);
+      x[static_cast<std::size_t>(c)] = peak;
+      ops::softmax_row(x.data(), y.data(), n, scale, nullptr);
+      if (c == 0) {
+        want_peak = y[0];
+        want_bg = n > 1 ? y[1] : 0.f;
+      }
+      for (std::int64_t j = 0; j < n; ++j)
+        ASSERT_EQ(y[j], j == c ? want_peak : want_bg)
+            << "n " << n << " peak at " << c << " col " << j;
+    }
+  }
 }
 
 // -------------------------------------------------------------- reductions
