@@ -53,16 +53,6 @@ CONTEXT = [
     ("cache cold img/s", ("cache", "cold_img_per_sec")),
     ("cache warm img/s", ("cache", "warm_img_per_sec")),
     ("cache warm/cold", ("cache", "warm_vs_cold")),
-    # Int8 rows are report-only: absolute img/s and GOP/s ride on host
-    # speed, the fp32-vs-int8 speedup depends on how much of this model's
-    # forward is quantizable Linear work (decoder convs and attention stay
-    # fp32), and the accuracy floor is enforced by ctest (test_quantize),
-    # not by trajectory diffing.
-    ("int8 img/s", ("int8", "images_per_sec")),
-    ("int8 vs fp32 serial", ("int8", "speedup_vs_fp32_serial")),
-    ("int8 GOP/s (wall)", ("int8", "gops_per_sec_wall")),
-    ("int8 dice delta", ("int8", "dice_delta")),
-    ("int8 iou delta", ("int8", "iou_delta")),
 ]
 
 

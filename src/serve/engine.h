@@ -45,12 +45,6 @@ struct EngineConfig {
                                 ///< seq_len > 0 gives fixed-length batches
   std::int64_t max_batch = 8;   ///< images per model call (chunked above)
   float mask_threshold = 0.5f;  ///< binary: P(foreground) cutoff for masks
-  /// Numeric precision of the grad-free dense layers (tensor/quantize.h).
-  /// nullopt resolves from the APF_PRECISION environment variable (fp32
-  /// when unset). int8 requests on hosts without the quantized kernel
-  /// warn on stderr and downgrade to fp32 at construction; the resolved
-  /// value is InferenceEngine::precision().
-  std::optional<Precision> precision;
 };
 
 /// Throughput accounting: per run() call, per server request, or
@@ -105,8 +99,8 @@ struct InferenceStats {
   double total_seconds = 0.0;
   /// Active gemm backend name (tensor/gemm_backend.h) during the forward.
   std::string gemm_backend;
-  /// Resolved engine precision ("fp32" / "int8") during the forward.
-  std::string precision;
+  /// Forward precision (tensor/quantize.h): always "fp32".
+  std::string precision = precision_name(Precision::kFp32);
   /// Analytical encoder FLOPs actually delivered: the sum over images of
   /// dist::vit_flops_per_image at each image's VALID token count (the
   /// fused attention + mask-aware dense layers skip padding, so padded
@@ -228,9 +222,8 @@ class InferenceEngine {
   const EngineConfig& config() const { return cfg_; }
   models::TokenSegModel& model() const { return model_; }
 
-  /// The resolved forward precision: the config's request (or the
-  /// APF_PRECISION environment) after the availability downgrade.
-  Precision precision() const { return precision_; }
+  /// The forward precision (tensor/quantize.h): always fp32.
+  Precision precision() const { return Precision::kFp32; }
 
   // ----------------------------------------------------------- caching
 
@@ -267,7 +260,6 @@ class InferenceEngine {
 
   models::TokenSegModel& model_;
   EngineConfig cfg_;
-  Precision precision_ = Precision::kFp32;  ///< resolved at construction
   core::AdaptivePatcher patcher_;
   Rng rng_;  ///< consumed only by dropout, which eval mode disables
   std::shared_ptr<InferenceCache> cache_;  ///< may be shared across engines

@@ -121,7 +121,6 @@ std::future<InferenceResult> Server::submit_validated(
       s.tokens = hit->valid_tokens;
       s.result_cache_hits = 1;
       s.gemm_backend = active_gemm_backend().name();
-      s.precision = precision_name(patch_engine_->precision());
       s.total_seconds = seconds_since(t0);
       // Fold into the aggregate BEFORE the future resolves (same ordering
       // contract as process_batch). Cache counters live in the cache.
@@ -228,7 +227,6 @@ void Server::process_batch(InferenceEngine& engine,
 
     const std::int64_t per_image = logits.numel() / n;
     const std::string backend = active_gemm_backend().name();
-    const std::string precision = precision_name(engine.precision());
     InferenceStats delta;  // accumulated into the aggregate below
     delta.images = n;
     delta.batches = 1;
@@ -260,7 +258,6 @@ void Server::process_batch(InferenceEngine& engine,
       s.total_seconds = s.patch_seconds + s.queue_seconds +
                         seconds_since(t0);
       s.gemm_backend = backend;
-      s.precision = precision;
       s.model_flops = engine.flops_for_tokens(valid);
       if (cache_) {
         // Per-request cache accounting: a request reaching a worker
@@ -305,7 +302,6 @@ void Server::process_batch(InferenceEngine& engine,
       aggregate_.queue_depth += delta.queue_depth;
       aggregate_.model_flops += delta.model_flops;
       aggregate_.gemm_backend = backend;
-      aggregate_.precision = precision;
       ++aggregate_.batch_size_counts[n];  // effective batch distribution
     }
     for (std::int64_t i = 0; i < n; ++i)

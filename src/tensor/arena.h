@@ -21,11 +21,10 @@
 //    forward() is the model caller: scope around the model forward, pause
 //    + clone for the escaping logits.
 //  * Each thread owns its own arena (no locks, no sharing); a scope on an
-//    engine/server thread covers exactly that thread's forward. Pool
-//    workers almost never allocate tensors — the one exception is the
-//    int8 path's quantization scratch (tensor/quantize.h), which lands on
-//    a worker's own arena when a scope is open there and plain heap
-//    otherwise; either way it dies inside the call that made it.
+//    engine/server thread covers exactly that thread's forward. A tensor
+//    a pool task allocates lands on that worker's own arena when a scope
+//    is open there and on the heap otherwise, so it must die inside the
+//    task that made it.
 //
 // Thread-safety-analysis audit (core/thread_annotations.h): this file is
 // intentionally free of APF_GUARDED_BY — there is no mutex here to guard

@@ -13,9 +13,9 @@
 //      order — avx2 when compiled in and the CPU supports it, otherwise
 //      reference.
 //
-// The blas backend never wins the default selection: it does not replicate
+// The fma backend never wins the default selection: it does not replicate
 // the reference accumulation order (see the contract in gemm.h), so it must
-// be requested explicitly via the env var or set_gemm_backend("blas").
+// be requested explicitly via the env var or set_gemm_backend("fma").
 //
 // Adding a backend: implement GemmBackend honoring the gemm.h row-panel
 // contract, return a static instance from a factory, and insert it into the
@@ -34,18 +34,18 @@ class GemmBackend {
  public:
   virtual ~GemmBackend() = default;
 
-  /// Stable lowercase identifier ("reference", "avx2", "blas", ...).
+  /// Stable lowercase identifier ("reference", "avx2", "fma").
   virtual const char* name() const = 0;
 
-  /// Whether the backend can run on this host (instruction set present,
-  /// external library compiled in, ...). Unavailable backends stay
+  /// Whether the backend can run on this host (compiled in and the
+  /// instruction set present). Unavailable backends stay
   /// registered so they can be listed and reported, but are never selected.
   virtual bool is_available() const = 0;
 
   /// True when the backend honors the full bitwise contract documented in
   /// gemm.h (row stability + bitwise identity with the reference backend);
   /// false when only the kGemmRowPanel panel-level split-m contract and
-  /// same-call determinism hold (blas). Defaults to false: exactness is an
+  /// same-call determinism hold (fma). Defaults to false: exactness is an
   /// explicit claim — a new backend that forgets to make it merely loses
   /// default-selection eligibility instead of silently breaking the
   /// serving paths' bitwise guarantees.
@@ -99,8 +99,6 @@ namespace detail {
 GemmBackend* reference_gemm_backend();
 GemmBackend* avx2_gemm_backend();
 GemmBackend* fma_gemm_backend();
-GemmBackend* blas_gemm_backend();
-GemmBackend* int8_gemm_backend();
 }  // namespace detail
 
 }  // namespace apf

@@ -8,7 +8,7 @@
 // is gated again at runtime via cpuid (AVX2 *and* FMA), so a binary built
 // with FMA support still runs (on the other backends) on older CPUs.
 //
-// Contract level (gemm.h): TOLERANCE-GRADE, like blas. A fused
+// Contract level (gemm.h): TOLERANCE-GRADE. A fused
 // multiply-add rounds once where the reference kernel rounds twice, so
 // results differ from the bitwise-exact backends within normal fp32
 // rounding (and are typically slightly MORE accurate). bitwise_exact()

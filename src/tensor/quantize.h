@@ -1,169 +1,16 @@
 #pragma once
-// Int8 quantized inference: the precision knob, weight prepacking, and
-// dynamic activation quantization behind the "int8" gemm backend
-// (src/tensor/gemm_int8.cpp) and the grad-free nn::Linear fast path.
-//
-// Quantization scheme (FBGEMM-style u8·s8 -> s32):
-//
-//  * Weights: symmetric per-output-channel s8, quantized ONCE at prepack
-//    time and clamped to [-kInt8WeightMax, kInt8WeightMax] = [-63, 63].
-//    The clamp is what makes the AVX2 kernel exact: _mm256_maddubs_epi16
-//    saturates its s16 pair-sums, and 255 * 63 * 2 = 32130 < 32767, so
-//    with |w| <= 63 saturation is impossible and the vector kernel
-//    computes the same integers a scalar loop would.
-//  * Activations: dynamic asymmetric per-row u8 — min/max over each row
-//    (for the serving path: over the valid-token rows only), range
-//    zero-extended to [min(lo, 0), max(hi, 0)] so the zero point lands in
-//    [0, 255] and nothing saturates, scale = range / 255. A row's
-//    (scale, zp, q) depend
-//    only on that row's own values and a FIXED scan order, so the int8
-//    path honors the kGemmRowPanel split-m contract (gemm.h) trivially
-//    and panel-parallel dispatch stays bitwise identical at every thread
-//    count.
-//  * Accumulation: exact int32 — no float touches the product until the
-//    epilogue, so the accumulators are independent of blocking, vector
-//    width, and summation order.
-//  * Epilogue: y[r][c] = sa[r] * sw[c] * (acc[r][c] - zp[r] * colsum[c])
-//    + bias[c], one fixed expression per element (the kernel TUs pin
-//    -ffp-contract=off). colsum[c] = sum_k qw[c][k] is precomputed at
-//    prepack time; it folds the activation zero point out of the integer
-//    product.
-//
-// The path is tolerance-grade vs fp32 (bitwise_exact() == false, never
-// the default backend) but run-to-run DETERMINISTIC: same inputs, same
-// bits, at every thread count (pinned by test_quantize).
-
-#include <cstdint>
-#include <string_view>
-#include <vector>
+// Numeric precision of the forward. The library computes in fp32 only;
+// these names stay for the benchmark's run context, which reports the
+// precision a run measured (apfbench's "precision" field).
 
 namespace apf {
 
-// ------------------------------------------------------- precision knob
+enum class Precision : int { kFp32 = 0 };
 
-/// Numeric precision of the grad-free dense layers. fp32 is the default;
-/// int8 routes nn::Linear / nn::Mlp mask-path forwards through the
-/// quantized kernel (attention scores, softmax and layernorm stay fp32).
-enum class Precision : int { kFp32 = 0, kInt8 = 1 };
+/// Stable lowercase name ("fp32").
+inline const char* precision_name(Precision) { return "fp32"; }
 
-/// Stable lowercase name ("fp32", "int8").
-const char* precision_name(Precision p);
-
-/// Parses "fp32" / "int8"; returns false (leaving *out untouched) on
-/// anything else.
-bool parse_precision(std::string_view text, Precision* out);
-
-/// APF_PRECISION environment resolution: unset or empty -> fp32; unknown
-/// values warn once on stderr and fall back to fp32.
-Precision precision_from_env();
-
-/// The calling thread's active precision (default fp32). Installed by
-/// serve::InferenceEngine::forward for the duration of a model call via
-/// PrecisionGuard; consulted by the grad-free dense-layer fast paths.
-Precision active_precision();
-
-/// RAII: sets the calling thread's precision, restores on destruction.
-class PrecisionGuard {
- public:
-  explicit PrecisionGuard(Precision p);
-  ~PrecisionGuard();
-  PrecisionGuard(const PrecisionGuard&) = delete;
-  PrecisionGuard& operator=(const PrecisionGuard&) = delete;
-
- private:
-  Precision prev_;
-};
-
-/// True when the int8 kernel can run on this host (the backend is
-/// compiled in and the CPU supports AVX2). The serving config downgrades
-/// int8 requests to fp32 when this is false.
-bool int8_available();
-
-// ------------------------------------------------------------- prepack
-
-/// Symmetric s8 weight clamp bound (see the saturation math above).
-inline constexpr int kInt8WeightMax = 63;
-
-/// Largest supported reduction depth: k * 255 * kInt8WeightMax must stay
-/// below 2^31 so neither the s32 accumulators nor the zp * colsum
-/// correction can overflow.
-inline constexpr std::int64_t kInt8MaxDepth =
-    (std::int64_t{1} << 31) / (255 * kInt8WeightMax) - 1;
-
-/// A quantized, kernel-layout weight matrix for y = op(x) * W^T.
-///
-/// data holds [out_padded / 8] column tiles; each tile is [in_padded / 4]
-/// 32-byte groups of 8 channels x 4 consecutive k-values — exactly one
-/// _mm256_maddubs_epi16 feed. Padded channels and padded k positions are
-/// zero, so they contribute nothing to any accumulator.
-struct Int8PackedWeights {
-  std::int64_t out = 0;         ///< real output channels
-  std::int64_t in = 0;          ///< real reduction depth
-  std::int64_t out_padded = 0;  ///< out rounded up to a multiple of 8
-  std::int64_t in_padded = 0;   ///< in rounded up to a multiple of 4
-  std::vector<std::int8_t> data;       ///< [out_padded/8][in_padded/4][8][4]
-  std::vector<float> scales;           ///< [out] per-channel weight scale
-  std::vector<std::int32_t> col_sums;  ///< [out] sum_k qw[c][k]
-};
-
-/// Quantizes and packs the columns of op(B) for a k-deep, n-channel
-/// product (channel c, depth p reads trans ? b[c*ldb+p] : b[p*ldb+c]).
-/// Channel scale = max|w| / kInt8WeightMax; an all-zero channel packs as
-/// scale 1 with every qw = 0, so its output is exactly 0 (plus bias).
-/// Deterministic: same input bytes -> same packed bytes.
-Int8PackedWeights int8_prepack(bool trans, const float* b, std::int64_t ldb,
-                               std::int64_t k, std::int64_t n);
-
-/// As int8_prepack, reusing out's buffers (kernel scratch reuse).
-void int8_prepack_into(bool trans, const float* b, std::int64_t ldb,
-                       std::int64_t k, std::int64_t n, Int8PackedWeights* out);
-
-/// nn::Linear convenience: packs the row-major [out x in] weight matrix
-/// of y = x * W^T (equivalent to int8_prepack(true, w, in, in, out)).
-Int8PackedWeights int8_prepack_linear(const float* w, std::int64_t out,
-                                      std::int64_t in);
-
-// ------------------------------------------- activation quantization
-
-/// Per-row dynamic quantization parameters: x ~= scale * (q - zero_point).
-struct Int8RowQuant {
-  float scale = 1.f;
-  std::int32_t zero_point = 0;
-};
-
-/// Quantizes m rows of op(A) (row i, depth p reads trans ? a[p*lda+i] :
-/// a[i*lda+p]) to u8. q is [m x k_padded] row-major with the k tail
-/// zero-filled; rq receives one (scale, zero_point) per row. Fixed scan
-/// order, row-local: row i's bytes depend only on row i's values. A
-/// constant row (max == min) quantizes exactly: scale |v| with q = 1, or
-/// all-zero for v == 0.
-void int8_quantize_rows(bool trans, const float* a, std::int64_t lda,
-                        std::int64_t m, std::int64_t k, std::int64_t k_padded,
-                        std::uint8_t* q, Int8RowQuant* rq);
-
-// ------------------------------------------------------------- compute
-
-/// y[m x w.out] = x[m x w.in] * W^T + bias (bias may be nullptr), int8
-/// inside, fp32 out; x has row stride ld_x, y row stride ld_y. The
-/// quantize pass runs on the calling thread (its scratch is Tensor-backed,
-/// so the grad-free serving path bump-allocates it from the thread's
-/// arena); the integer product is panel-parallel over kGemmRowPanel-row
-/// chunks on the shared scheduler, bitwise identical at every thread
-/// count. Requires int8_available().
-void int8_linear(const float* x, std::int64_t m, std::int64_t ld_x,
-                 const Int8PackedWeights& w, const float* bias, float* y,
-                 std::int64_t ld_y);
-
-namespace detail {
-/// Kernel + epilogue over pre-quantized rows (defined in gemm_int8.cpp;
-/// call only when int8_available()). qa is [rows x w.in_padded] u8, rq
-/// one entry per row. accumulate == false overwrites: y = deq + bias;
-/// accumulate == true adds: y += alpha * deq (bias ignored). Blocked by
-/// kGemmRowPanel rows internally; the result is independent of blocking.
-void int8_apply(const std::uint8_t* qa, const Int8RowQuant* rq,
-                std::int64_t rows, const Int8PackedWeights& w, float alpha,
-                const float* bias, bool accumulate, float* y,
-                std::int64_t ld_y);
-}  // namespace detail
+/// The precision the calling thread computes in: always fp32.
+inline Precision active_precision() { return Precision::kFp32; }
 
 }  // namespace apf

@@ -1,10 +1,10 @@
 // Content-addressed inference cache (serve/cache.h + core/hash.h):
 // digest determinism and platform stability, sharded-LRU eviction order
-// and byte accounting, fingerprint isolation, the bitwise hit==cold
-// contract on both the engine and server paths, concurrent hammering of
-// one hot key (the TSan leg runs this file), and the arena clone-out
-// rule (the APF_ARENA_POISON leg turns a missing deep copy into a
-// deterministic CheckError here).
+// and byte accounting, fingerprint and gemm-backend-class isolation, the
+// bitwise hit==cold contract on both the engine and server paths,
+// concurrent hammering of one hot key (the TSan leg runs this file), and
+// the arena clone-out rule (the APF_ARENA_POISON leg turns a missing deep
+// copy into a deterministic CheckError here).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <future>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "serve/server.h"
 #include "tensor/arena.h"
 #include "tensor/autograd.h"
+#include "tensor/gemm_backend.h"
 
 namespace apf {
 namespace {
@@ -459,6 +461,56 @@ TEST(EngineCache, FingerprintIsolationAcrossSharedCache) {
       << "different weights must not cross-hit";
   serve::InferenceEngine c_cold(other.model, rig.engine_config());
   expect_bitwise_equal(cres, c_cold.run(imgs), "isolated weights run");
+}
+
+// The gemm backend's bitwise class is the one part of the result key that
+// is not content: reference and avx2 are bitwise-identical and share
+// entries, while the tolerance-grade fma backend keys by name, so its
+// logits never answer a bitwise-exact request and vice versa.
+TEST(EngineCache, BackendClassIsolatesResultTier) {
+  GemmBackend* fma = find_gemm_backend("fma");
+  if (fma == nullptr || !fma->is_available())
+    GTEST_SKIP() << "fma backend unavailable on this host";
+  struct RestoreBackend {
+    std::string name = active_gemm_backend().name();
+    ~RestoreBackend() { set_gemm_backend(name); }
+  } restore;
+  Rig rig;
+  std::vector<img::Image> imgs = rig.images(3);
+  const auto cold_under = [&](const char* backend) {
+    EXPECT_TRUE(set_gemm_backend(backend)) << backend;
+    serve::InferenceEngine cold(rig.model, rig.engine_config());
+    return cold.run(imgs);
+  };
+
+  for (const char* first : {"fma", "reference"}) {
+    const char* second = std::string(first) == "fma" ? "reference" : "fma";
+    SCOPED_TRACE(std::string(first) + " then " + second);
+    serve::InferenceEngine engine(rig.model, rig.engine_config());
+    engine.set_cache(std::make_shared<serve::InferenceCache>(cache_config()));
+
+    ASSERT_TRUE(set_gemm_backend(first));
+    EXPECT_EQ(engine.run(imgs).stats.result_cache_misses, 3);
+    ASSERT_TRUE(set_gemm_backend(second));
+    const serve::InferenceResult crossed = engine.run(imgs);
+    EXPECT_EQ(crossed.stats.result_cache_hits, 0)
+        << "entries cached under " << first << " served a " << second
+        << " request";
+    expect_bitwise_equal(crossed, cold_under(second), "other-class run");
+
+    // Each class still hits its own entries, bitwise equal to cold.
+    for (const char* backend : {first, second}) {
+      ASSERT_TRUE(set_gemm_backend(backend));
+      const serve::InferenceResult warm = engine.run(imgs);
+      EXPECT_EQ(warm.stats.result_cache_hits, 3) << backend;
+      expect_bitwise_equal(warm, cold_under(backend), backend);
+    }
+    // avx2 shares the bitwise-exact class with reference.
+    if (set_gemm_backend("avx2")) {
+      EXPECT_EQ(engine.run(imgs).stats.result_cache_hits, 3)
+          << "avx2 must share reference's entries";
+    }
+  }
 }
 
 TEST(EngineCache, EvictionUnderTinyBudgetStaysCorrect) {

@@ -6,8 +6,8 @@
 // guarantees the serving paths depend on (gemm.h): panel-boundary splits
 // for every backend, arbitrary-row splits plus n/k prefix truncation for
 // the bitwise-exact ones. Cross-backend, bitwise-exact backends must match
-// the reference backend bit for bit; the tolerance-grade backends (fma,
-// blas — when present) must agree within fp32 rounding. Registry tests
+// the reference backend bit for bit; the tolerance-grade fma backend
+// (when present) must agree within fp32 rounding. Registry tests
 // cover name lookup, unknown-name fallback, and APF_GEMM_BACKEND
 // selection.
 
@@ -89,13 +89,6 @@ class GemmBetaSweep : public BackendTest,
 
 TEST_P(GemmBetaSweep, OddShapesMatchNaive) {
   const auto [backend, ta, tb, beta] = GetParam();
-  if (backend == "int8") {
-    // Quantized: the error budget is set by the 8-bit grid (~0.5 absolute
-    // on a randn k=300 reduction), far outside this sweep's fp32-rounding
-    // tolerance. test_quantize pins the int8 error bound (and the layer /
-    // end-to-end Dice contract) on its own scale.
-    GTEST_SKIP() << "int8 is quantized; see test_quantize for its bounds";
-  }
   PinBackend(backend);
   // Deliberately not multiples of the 64/256/256 cache blocks.
   const std::int64_t m = 65, n = 257, k = 300;
@@ -133,9 +126,6 @@ class GemmBackendSuite : public BackendTest,
 };
 
 TEST_P(GemmBackendSuite, AlphaScalesProducts) {
-  if (GetParam() == "int8") {
-    GTEST_SKIP() << "int8 is quantized; see test_quantize for its bounds";
-  }
   const std::int64_t m = 9, n = 31, k = 65;
   Rng rng(23);
   Tensor a = Tensor::randn({m, k}, rng);
@@ -262,25 +252,6 @@ TEST(GemmCrossBackend, FmaMatchesReferenceWithinTolerance) {
     }
 }
 
-TEST(GemmCrossBackend, BlasMatchesReferenceWithinTolerance) {
-  GemmBackend* blas = find_gemm_backend("blas");
-  ASSERT_NE(blas, nullptr);  // registered even when not compiled in
-  if (!blas->is_available())
-    GTEST_SKIP() << "no CBLAS in this build — blas backend unavailable";
-  const std::int64_t m = 65, n = 257, k = 300;
-  Rng rng(43);
-  Tensor a = Tensor::randn({m, k}, rng);
-  Tensor b = Tensor::randn({k, n}, rng);
-  Tensor c0 = Tensor::zeros({m, n});
-  Tensor ref = run_backend("reference", false, false, m, n, k, 1.f, a, b,
-                           0.f, c0);
-  Tensor got = run_backend("blas", false, false, m, n, k, 1.f, a, b, 0.f,
-                           c0);
-  for (std::int64_t i = 0; i < ref.numel(); ++i)
-    ASSERT_NEAR(got[i], ref[i], 1e-4 * std::max(1.f, std::fabs(ref[i])))
-        << "at " << i;
-}
-
 // -------------------------------------------------- parallel dispatch
 
 /// RAII restore for the global thread count (0 = automatic resolution).
@@ -371,10 +342,10 @@ TEST(GemmRegistry, ReferenceIsAlwaysRegisteredAndAvailable) {
   ASSERT_NE(ref, nullptr);
   EXPECT_TRUE(ref->is_available());
   EXPECT_TRUE(ref->bitwise_exact());
-  // All four ship in the registry regardless of build flags.
+  // All three ship in the registry regardless of build flags.
   EXPECT_NE(find_gemm_backend("avx2"), nullptr);
   EXPECT_NE(find_gemm_backend("fma"), nullptr);
-  EXPECT_NE(find_gemm_backend("blas"), nullptr);
+  EXPECT_EQ(gemm_backends().size(), 3u);
   EXPECT_EQ(find_gemm_backend("no-such-backend"), nullptr);
 }
 
@@ -435,15 +406,8 @@ TEST(GemmRegistry, AvailableNamesAreRunnable) {
     const float b[4] = {5.f, 6.f, 7.f, 8.f};
     float c[4] = {0.f, 0.f, 0.f, 0.f};
     gemm(false, false, 2, 2, 2, 1.f, a, 2, b, 2, 0.f, c, 2);
-    if (name == "int8") {
-      // Quantized: exact integers in, but the operands land on the 8-bit
-      // grid first — 2% relative covers the worst case of this shape.
-      EXPECT_NEAR(c[0], 19.f, 19.f * 0.02f) << name;
-      EXPECT_NEAR(c[3], 50.f, 50.f * 0.02f) << name;
-    } else {
-      EXPECT_FLOAT_EQ(c[0], 19.f) << name;
-      EXPECT_FLOAT_EQ(c[3], 50.f) << name;
-    }
+    EXPECT_FLOAT_EQ(c[0], 19.f) << name;
+    EXPECT_FLOAT_EQ(c[3], 50.f) << name;
   }
   ASSERT_TRUE(set_gemm_backend(before));
 }

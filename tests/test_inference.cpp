@@ -32,7 +32,7 @@ Tensor ref_attention(const Tensor& q, const Tensor& k, const Tensor& v,
 
 // Fused-vs-composed comparisons are bitwise under the bitwise-exact gemm
 // backends (reference, avx2 — the default selection always is). Under an
-// explicitly requested blas backend only the panel contract holds, so the
+// explicitly requested fma backend only the panel contract holds, so the
 // suite degrades to a tight relative tolerance (gemm.h).
 void assert_value_matches(float got, float want, const char* where,
                           std::int64_t i) {
@@ -271,7 +271,7 @@ TEST(MaskAwareDense, LinearLayerNormMlpSkipPaddedRowsBitwise) {
           const float mv = c.masked.at({i, r, j});
           if (r < n_eff[i]) {
             // Bitwise under the exact backends; the per-item prefix gemms
-            // legitimately round differently under blas (gemm.h).
+            // legitimately round differently under fma (gemm.h).
             assert_value_matches(mv, c.full.at({i, r, j}), c.name,
                                  (i * l + r) * w + j);
           } else {
